@@ -53,10 +53,15 @@ std::uint64_t EpochGc::MinPinned() const {
 }
 
 std::size_t EpochGc::TryReclaim() {
-  // Snapshot the horizon BEFORE splicing: a pin that lands after this
-  // scan cannot have observed any pointer retired before it (see the
-  // ordering contract in the header), so using a possibly-stale horizon
-  // is safe — merely conservative.
+  // Only retirements that precede the slot scan are candidates. The
+  // epoch is read BEFORE the scan: an entry retired at or below it was
+  // unlinked before the scan began, so a pin that lands after the scan
+  // cannot have observed it (see the ordering contract in the header),
+  // and using a possibly-stale horizon is safe — merely conservative.
+  // An entry retired after the epoch read may belong to a pointer that a
+  // reader loaded after pinning behind the scan; the scan could not see
+  // that pin, so the entry waits for a later pass.
+  const std::uint64_t retired_by = epoch_.load(std::memory_order_seq_cst);
   const std::uint64_t horizon = MinPinned();
   std::vector<Retired> ready;
   {
@@ -68,7 +73,7 @@ std::size_t EpochGc::TryReclaim() {
       // unlink — so its pointer load saw the replacement, never this
       // object. Only stamps strictly below the retirement epoch can
       // still hold it.
-      if (it->epoch <= horizon) {
+      if (it->epoch <= retired_by && it->epoch <= horizon) {
         ready.push_back(std::move(*it));
       } else {
         if (keep != it) *keep = std::move(*it);

@@ -1,6 +1,7 @@
 #include "engine/executor.h"
 
 #include <algorithm>
+#include <cstring>
 #include <functional>
 #include <future>
 #include <iterator>
@@ -240,10 +241,12 @@ OperatorPtr BuildWorkerChain(const ChainSpec& spec, const ScanTarget* target,
 }
 
 /// The full shape the morsel executor handles (PatchDistinct aside): an
-/// optional Sort root, over an optional Aggregate/Distinct, over either a
-/// single scan pipeline or Select/Project operators above an inner equi
-/// join of two scan pipelines.
+/// optional root Project, over an optional Sort, over an optional
+/// Aggregate/Distinct, over either a single scan pipeline or
+/// Select/Project operators above an inner equi join of two scan
+/// pipelines.
 struct PlanShape {
+  const LogicalNode* project = nullptr;  // root kProject over sort/agg
   const LogicalNode* sort = nullptr;  // kSort (limit = TopN)
   const LogicalNode* agg = nullptr;   // kAggregate / kDistinct
   const LogicalNode* join = nullptr;  // kJoin
@@ -255,6 +258,18 @@ struct PlanShape {
 
 bool AnalyzeShape(const LogicalNode& plan, PlanShape* shape) {
   const LogicalNode* cur = &plan;
+  // A root Project above a Sort or Aggregate (the binder's shape for a
+  // global COUNT(*) and for ORDER BY on a column outside the select
+  // list); a Project directly over the pipeline is part of the chain.
+  if (cur->kind == LogicalNode::Kind::kProject) {
+    const LogicalNode::Kind below = cur->children[0]->kind;
+    if (below == LogicalNode::Kind::kSort ||
+        below == LogicalNode::Kind::kAggregate ||
+        below == LogicalNode::Kind::kDistinct) {
+      shape->project = cur;
+      cur = cur->children[0].get();
+    }
+  }
   if (cur->kind == LogicalNode::Kind::kSort) {
     if (cur->sort_keys.empty()) return false;
     shape->sort = cur;
@@ -431,27 +446,240 @@ Batch ConcatParts(std::vector<Batch>&& parts,
   return out;
 }
 
-/// Merge aggregation over concatenated per-worker partial aggregates:
-/// group keys re-group on their own positions; partial counts merge by
-/// summation, sums/mins/maxs by their own operator.
-Batch MergeAggregateParts(std::vector<Batch>&& parts,
-                          const std::vector<ColumnType>& partial_types,
-                          std::size_t num_group_cols,
-                          const std::vector<AggSpec>& aggs) {
-  Batch all = ConcatParts(std::move(parts), partial_types);
-  std::vector<std::size_t> group_cols(num_group_cols);
-  for (std::size_t g = 0; g < num_group_cols; ++g) group_cols[g] = g;
-  std::vector<AggSpec> merged;
-  merged.reserve(aggs.size());
-  for (std::size_t j = 0; j < aggs.size(); ++j) {
-    AggSpec spec;
-    spec.column = num_group_cols + j;
-    spec.op = aggs[j].op == AggOp::kCount ? AggOp::kSum : aggs[j].op;
-    merged.push_back(spec);
+/// Smallest power-of-two partition count covering the pool's workers,
+/// as a mask (partition = hash & mask).
+std::size_t PartitionMask(const ThreadPool& pool) {
+  std::size_t partitions = 1;
+  while (partitions < pool.num_threads()) partitions *= 2;
+  return partitions - 1;
+}
+
+/// Emits a list of prepared batches (moved out, whole) — the merge phase
+/// feeds every worker's spill of one partition to the merge aggregate.
+class BatchListSource : public Operator {
+ public:
+  BatchListSource(std::vector<ColumnType> types, std::vector<Batch> batches)
+      : types_(std::move(types)), batches_(std::move(batches)) {}
+
+  std::vector<ColumnType> OutputTypes() const override { return types_; }
+  void Open() override { pos_ = 0; }
+  bool Next(Batch* out) override {
+    while (pos_ < batches_.size()) {
+      Batch& b = batches_[pos_++];
+      if (b.num_rows() == 0) continue;
+      *out = std::move(b);
+      return true;
+    }
+    out->Reset(types_);
+    return false;
   }
-  HashAggregateOperator merge(
-      std::make_unique<InMemorySource>(std::move(all)), group_cols, merged);
-  return Collect(merge);
+
+ private:
+  std::vector<ColumnType> types_;
+  std::vector<Batch> batches_;
+  std::size_t pos_ = 0;
+};
+
+/// Hash partition of every row of `b` over its first `num_keys` columns
+/// (the group key): the cells' bits (doubles and strings by their bytes,
+/// matching the generic aggregate's byte-encoded equality) fold into one
+/// 64-bit value, partitioned like a join key.
+std::vector<std::uint32_t> KeyPartitions(const Batch& b, std::size_t num_keys,
+                                         std::size_t mask) {
+  const std::size_t n = b.num_rows();
+  std::vector<std::uint32_t> part(n);
+  std::vector<std::uint64_t> h(n, 0);
+  for (std::size_t c = 0; c < num_keys; ++c) {
+    const ColumnVector& col = b.columns[c];
+    for (std::size_t i = 0; i < n; ++i) {
+      std::uint64_t cell = 0;
+      switch (col.type) {
+        case ColumnType::kInt64:
+          cell = static_cast<std::uint64_t>(col.i64[i]);
+          break;
+        case ColumnType::kDouble:
+          std::memcpy(&cell, &col.f64[i], sizeof(cell));
+          break;
+        case ColumnType::kString:
+          cell = std::hash<std::string>{}(col.str[i]);
+          break;
+      }
+      h[i] = (h[i] ^ cell) * 0xFF51AFD7ED558CCDULL + (h[i] >> 29);
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    part[i] = static_cast<std::uint32_t>(
+        JoinKeyPartition(static_cast<std::int64_t>(h[i]), mask));
+  }
+  return part;
+}
+
+/// Splits `in` column-wise into `mask + 1` batches by KeyPartitions
+/// (string cells are moved).
+std::vector<Batch> ScatterByKey(Batch&& in, std::size_t num_keys,
+                                std::size_t mask) {
+  const std::size_t num_partitions = mask + 1;
+  std::vector<Batch> out(num_partitions);
+  if (num_partitions == 1) {
+    out[0] = std::move(in);
+    return out;
+  }
+  std::vector<ColumnType> types;
+  for (const ColumnVector& c : in.columns) types.push_back(c.type);
+  const std::vector<std::uint32_t> part = KeyPartitions(in, num_keys, mask);
+  std::vector<std::size_t> counts(num_partitions, 0);
+  for (std::uint32_t p : part) ++counts[p];
+  for (std::size_t p = 0; p < num_partitions; ++p) {
+    out[p].Reset(types);
+    out[p].row_ids.reserve(counts[p]);
+  }
+  for (std::size_t c = 0; c < types.size(); ++c) {
+    ColumnVector& src = in.columns[c];
+    for (std::size_t p = 0; p < num_partitions; ++p) {
+      ColumnVector& dst = out[p].columns[c];
+      switch (dst.type) {
+        case ColumnType::kInt64:
+          dst.i64.reserve(counts[p]);
+          break;
+        case ColumnType::kDouble:
+          dst.f64.reserve(counts[p]);
+          break;
+        case ColumnType::kString:
+          dst.str.reserve(counts[p]);
+          break;
+      }
+    }
+    for (std::size_t i = 0; i < part.size(); ++i) {
+      ColumnVector& dst = out[part[i]].columns[c];
+      switch (dst.type) {
+        case ColumnType::kInt64:
+          dst.i64.push_back(src.i64[i]);
+          break;
+        case ColumnType::kDouble:
+          dst.f64.push_back(src.f64[i]);
+          break;
+        case ColumnType::kString:
+          dst.str.push_back(std::move(src.str[i]));
+          break;
+      }
+    }
+  }
+  for (std::size_t i = 0; i < part.size(); ++i) {
+    out[part[i]].row_ids.push_back(in.row_ids[i]);
+  }
+  return out;
+}
+
+/// Where a partitioned aggregation records itself.
+struct AggregateAttribution {
+  /// Profiling accumulator; null when profiling is off.
+  obs::ExecProfile* profile = nullptr;
+  /// The plan node the per-worker partial aggregates are profiled under
+  /// and the merge tasks' times are added to (null: PatchDistinct, which
+  /// times itself end to end).
+  const LogicalNode* node = nullptr;
+  /// Receives the memory charges (`mem=`); null when profiling is off.
+  obs::NodeStats* stats = nullptr;
+  const char* partial_label = "HashAggregate";
+  const char* merge_label = "HashAggregate merge";
+};
+
+/// Two-phase hash-partitioned aggregation (the morsel-driven scheme of
+/// Leis et al., SIGMOD 2014). Phase one: every pool worker aggregates
+/// its share of the input (the pipeline `make_input(w)` draws morsels
+/// from a shared queue) into a partial table, then hash-partitions the
+/// partial groups into one spill batch per partition inside its task.
+/// Phase two, after the barrier: one task per partition merges that
+/// partition's spills from all workers — group keys re-group on their
+/// own positions, partial counts merge by summation, sums/mins/maxs by
+/// their own operator. A group lives in exactly one partition, so the
+/// per-partition results concatenate column-wise into the answer.
+/// Every phase charges the query tracker inside its task; an over-budget
+/// charge unwinds through AwaitAll.
+Batch RunPartitionedAggregate(
+    ThreadPool& pool, const ParallelExecOptions& options,
+    const std::function<OperatorPtr(std::size_t)>& make_input,
+    const std::vector<std::size_t>& group_cols,
+    const std::vector<AggSpec>& aggs,
+    const std::vector<ColumnType>& out_types,
+    const AggregateAttribution& attr) {
+  const std::size_t workers = pool.num_threads();
+  const std::size_t mask = PartitionMask(pool);
+  const std::size_t num_partitions = mask + 1;
+  const std::size_t num_keys = group_cols.size();
+
+  std::vector<std::vector<Batch>> spill(workers);
+  std::vector<std::future<void>> futures;
+  futures.reserve(std::max(workers, num_partitions));
+  for (std::size_t w = 0; w < workers; ++w) {
+    futures.push_back(pool.SubmitWithFuture([&, w] {
+      obs::TraceSpan span(options.trace, "worker",
+                          static_cast<std::uint32_t>(w + 1));
+      obs::ScopedQueryTracker query_mem(options.memory);
+      auto agg =
+          std::make_unique<HashAggregateOperator>(make_input(w), group_cols,
+                                                  aggs);
+      agg->SetMemoryStats(attr.stats, attr.partial_label);
+      HashAggregateOperator* partial = agg.get();
+      // Per-worker partial-group counts depend on morsel scheduling; the
+      // coordinator stores the merged count instead.
+      OperatorPtr op =
+          attr.node != nullptr
+              ? MaybeProfile(std::move(agg), attr.profile, attr.node,
+                             /*count_rows=*/false)
+              : std::move(agg);
+      op->Open();
+      Batch groups = partial->TakeResult();
+      op->Close();
+      obs::OpMemory mem(attr.partial_label, attr.stats);
+      mem.Add(ApproxBytes(groups));
+      spill[w] = ScatterByKey(std::move(groups), num_keys, mask);
+    }));
+  }
+  AwaitAll(futures);  // barrier between partial aggregation and merge
+
+  std::vector<std::size_t> key_cols(num_keys);
+  for (std::size_t k = 0; k < num_keys; ++k) key_cols[k] = k;
+  std::vector<AggSpec> merge_aggs;
+  merge_aggs.reserve(aggs.size());
+  for (std::size_t j = 0; j < aggs.size(); ++j) {
+    merge_aggs.push_back(
+        {aggs[j].op == AggOp::kCount ? AggOp::kSum : aggs[j].op,
+         num_keys + j});
+  }
+
+  std::vector<Batch> merged(num_partitions);
+  futures.clear();
+  for (std::size_t p = 0; p < num_partitions; ++p) {
+    futures.push_back(pool.SubmitWithFuture([&, p] {
+      obs::TraceSpan span(options.trace, "agg_merge",
+                          static_cast<std::uint32_t>(p + 1));
+      obs::ScopedQueryTracker query_mem(options.memory);
+      WallTimer timer;
+      std::vector<Batch> inputs;
+      inputs.reserve(workers);
+      for (std::size_t w = 0; w < workers; ++w) {
+        inputs.push_back(std::move(spill[w][p]));
+      }
+      HashAggregateOperator merge(
+          std::make_unique<BatchListSource>(out_types, std::move(inputs)),
+          key_cols, merge_aggs);
+      merge.SetMemoryStats(attr.stats, attr.merge_label);
+      merge.Open();
+      merged[p] = merge.TakeResult();
+      merge.Close();
+      if (attr.node != nullptr && attr.stats != nullptr) {
+        attr.stats->AddWorkerTime(
+            static_cast<std::uint64_t>(timer.ElapsedNanos()));
+      }
+    }));
+  }
+  AwaitAll(futures);
+
+  obs::OpMemory mem(attr.merge_label, attr.stats);
+  Batch result = ConcatParts(std::move(merged), out_types);
+  mem.Add(ApproxBytes(result));
+  return result;
 }
 
 // --------------------------------------------------------------- join
@@ -693,39 +921,39 @@ bool ExecutePatchDistinct(const LogicalNode& node, ThreadPool& pool,
     AppendBatch(&result, std::move(excluded));
   }
 
-  // Use-patches phase: per-worker distinct over the exceptions, merged by
-  // a final distinct.
+  // Use-patches phase: the exceptions run the partitioned parallel
+  // distinct.
   MorselQueue use_queue(full, has_inserts, options.morsel_rows);
   ScanOptions use_opts;
   use_opts.patch_filter = idx;
   use_opts.patch_mode = PatchSelectMode::kUsePatches;
-  std::vector<Batch> parts = RunWorkers(
-      pool,
-      [&spec, &target, &use_opts, &use_queue, &node, profile,
-       &options](std::size_t w) -> OperatorPtr {
-        return std::make_unique<HashAggregateOperator>(
-            BuildWorkerChain(spec, &target, use_opts, &use_queue, profile,
-                             options.trace,
-                             static_cast<std::uint32_t>(w + 1)),
-            node.group_cols, std::vector<AggSpec>{});
+  AggregateAttribution attr;
+  attr.stats = node_stats;
+  attr.partial_label = "PatchDistinct";
+  attr.merge_label = "PatchDistinct merge";
+  Batch patches = RunPartitionedAggregate(
+      pool, options,
+      [&spec, &target, &use_opts, &use_queue, profile,
+       &options](std::size_t w) {
+        return BuildWorkerChain(spec, &target, use_opts, &use_queue, profile,
+                                options.trace,
+                                static_cast<std::uint32_t>(w + 1));
       },
-      nullptr, options.trace, options.memory, "PatchDistinct", node_stats);
-  HashAggregateOperator merge(
-      std::make_unique<InMemorySource>(ConcatParts(std::move(parts),
-                                                   out_types)),
-      std::vector<std::size_t>{0}, std::vector<AggSpec>{});
-  Batch patches = Collect(merge);
+      node.group_cols, {}, out_types, attr);
   if (idx->constraint() == ConstraintKind::kNearlyConstant) {
     // Deduplicate against the constant: a patch row modified back to the
     // constant may still hold it (mirrors the serial plan's selection).
-    Batch filtered;
-    filtered.Reset(out_types);
-    for (std::size_t i = 0; i < patches.num_rows(); ++i) {
-      if (patches.columns[0].i64[i] != idx->constant_value()) {
-        filtered.AppendRowFrom(patches, i);
-      }
+    const std::int64_t constant = idx->constant_value();
+    std::vector<std::int64_t>& values = patches.columns[0].i64;
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      if (values[i] == constant) continue;
+      values[kept] = values[i];
+      patches.row_ids[kept] = patches.row_ids[i];
+      ++kept;
     }
-    patches = std::move(filtered);
+    values.resize(kept);
+    patches.row_ids.resize(kept);
   }
   AppendBatch(&result, std::move(patches));
   if (profile != nullptr) {
@@ -802,19 +1030,23 @@ bool ExecuteParallel(const LogicalNode& plan, ThreadPool& pool,
     };
   }
 
-  // Memory attribution for the per-worker result materialization: sort
-  // buffers belong to the Sort node, partial-aggregate outputs to the
-  // Aggregate node, and a plain pipeline's result to the plan root.
-  const LogicalNode* mat_node = local_sort               ? shape.sort
-                                : shape.agg != nullptr   ? shape.agg
-                                                         : &plan;
-  const char* mat_label = local_sort             ? "Sort"
-                          : shape.agg != nullptr ? "HashAggregate"
-                                                 : "Materialize";
+  // Memory attribution for the per-worker materialization without an
+  // aggregate: sort buffers belong to the Sort node, a plain pipeline's
+  // result to the plan root (a root Project always sits over a Sort or
+  // an Aggregate).
+  const LogicalNode* mat_node = local_sort ? shape.sort : &plan;
+  const char* mat_label = local_sort ? "Sort" : "Materialize";
   obs::NodeStats* mat_stats =
       profile != nullptr ? profile->Find(mat_node) : nullptr;
 
-  std::vector<Batch> parts;
+  // The worker pipeline below the aggregate / local sort: either the
+  // probe side of a partitioned join (its build runs first, here) or a
+  // single scan pipeline.
+  std::vector<JoinHashTable> partitions;
+  ScanTarget target;
+  std::unique_ptr<MorselQueue> queue;
+  std::function<OperatorPtr(std::size_t)> make_input;
+  const ScanOptions scan_opts;  // plain kVisible scan, as the serial tree
   if (shape.join != nullptr) {
     const LogicalNode& join = *shape.join;
     // Build on the side with the lower estimated cardinality (§3.3: the
@@ -825,23 +1057,18 @@ bool ExecuteParallel(const LogicalNode& plan, ThreadPool& pool,
     const bool build_left = EstimateCardinality(*join.children[0]) <=
                             EstimateCardinality(*join.children[1]);
     const ChainSpec& build_spec = build_left ? shape.left : shape.right;
-    const ChainSpec& probe_spec = build_left ? shape.right : shape.left;
+    const ChainSpec* probe_spec = build_left ? &shape.right : &shape.left;
     const std::size_t build_key = build_left ? join.left_key : join.right_key;
     const std::size_t probe_key = build_left ? join.right_key : join.left_key;
     const PatchIndex* build_nuc =
         build_left ? join.left_key_nuc : join.right_key_nuc;
     const std::vector<ColumnType> build_types =
         LogicalOutputTypes(*join.children[build_left ? 0 : 1]);
-
-    std::size_t partition_bits = 0;
-    while ((std::size_t{1} << partition_bits) < pool.num_threads()) {
-      ++partition_bits;
-    }
-    const std::size_t mask = (std::size_t{1} << partition_bits) - 1;
+    const std::size_t mask = PartitionMask(pool);
 
     const ScanTarget build_target = TargetOf(*build_spec.scan);
     WallTimer build_timer;
-    const std::vector<JoinHashTable> partitions = BuildJoinPartitions(
+    partitions = BuildJoinPartitions(
         build_spec, build_target, build_key, build_types, build_nuc, mask,
         pool, options, profile,
         profile != nullptr ? profile->Find(shape.join) : nullptr);
@@ -851,103 +1078,95 @@ bool ExecuteParallel(const LogicalNode& plan, ThreadPool& pool,
           std::memory_order_relaxed);
     }
 
-    const ScanTarget probe_target = TargetOf(*probe_spec.scan);
-    MorselQueue probe_queue(probe_target.FullWork(), options.morsel_rows);
-    const ScanOptions scan_opts;
-    parts = RunWorkers(
-        pool,
-        [&](std::size_t w) {
-          OperatorPtr op = BuildWorkerChain(
-              probe_spec, &probe_target, scan_opts, &probe_queue, profile,
-              options.trace, static_cast<std::uint32_t>(w + 1));
-          op = std::make_unique<PartitionProbeOperator>(
-              std::move(op), &partitions, mask, probe_key, build_left,
-              build_types);
-          op = MaybeProfile(std::move(op), profile, shape.join);
-          op = ApplyUnaryOps(std::move(op), shape.mid_ops, profile);
-          if (shape.agg != nullptr) {
-            auto agg = std::make_unique<HashAggregateOperator>(
-                std::move(op), shape.agg->group_cols,
-                shape.agg->kind == LogicalNode::Kind::kAggregate
-                    ? shape.agg->aggs
-                    : std::vector<AggSpec>{});
-            agg->SetMemoryStats(mat_stats);
-            op = std::move(agg);
-            // Per-worker partial-group counts depend on morsel scheduling;
-            // the coordinator stores the merged count below instead.
-            op = MaybeProfile(std::move(op), profile, shape.agg,
-                              /*count_rows=*/false);
-          }
-          return op;
-        },
-        post, options.trace, options.memory, mat_label, mat_stats);
+    target = TargetOf(*probe_spec->scan);
+    queue = std::make_unique<MorselQueue>(target.FullWork(),
+                                          options.morsel_rows);
+    make_input = [&, probe_spec, mask, probe_key, build_left,
+                  build_types](std::size_t w) {
+      OperatorPtr op = BuildWorkerChain(*probe_spec, &target, scan_opts,
+                                        queue.get(), profile, options.trace,
+                                        static_cast<std::uint32_t>(w + 1));
+      op = std::make_unique<PartitionProbeOperator>(
+          std::move(op), &partitions, mask, probe_key, build_left,
+          build_types);
+      op = MaybeProfile(std::move(op), profile, shape.join);
+      return ApplyUnaryOps(std::move(op), shape.mid_ops, profile);
+    };
   } else {
-    const ScanTarget target = TargetOf(*shape.chain.scan);
-    MorselQueue queue(target.FullWork(), options.morsel_rows);
-    const ScanOptions scan_opts;  // plain kVisible scan, as the serial tree
-    parts = RunWorkers(
-        pool,
-        [&](std::size_t w) {
-          OperatorPtr op = BuildWorkerChain(
-              shape.chain, &target, scan_opts, &queue, profile, options.trace,
-              static_cast<std::uint32_t>(w + 1));
-          if (shape.agg != nullptr) {
-            auto agg = std::make_unique<HashAggregateOperator>(
-                std::move(op), shape.agg->group_cols,
-                shape.agg->kind == LogicalNode::Kind::kAggregate
-                    ? shape.agg->aggs
-                    : std::vector<AggSpec>{});
-            agg->SetMemoryStats(mat_stats);
-            op = std::move(agg);
-            op = MaybeProfile(std::move(op), profile, shape.agg,
-                              /*count_rows=*/false);
-          }
-          return op;
-        },
-        post, options.trace, options.memory, mat_label, mat_stats);
+    target = TargetOf(*shape.chain.scan);
+    queue = std::make_unique<MorselQueue>(target.FullWork(),
+                                          options.morsel_rows);
+    make_input = [&](std::size_t w) {
+      return BuildWorkerChain(shape.chain, &target, scan_opts, queue.get(),
+                              profile, options.trace,
+                              static_cast<std::uint32_t>(w + 1));
+    };
   }
 
-  const std::vector<ColumnType> out_types = LogicalOutputTypes(plan);
+  Batch result;
   if (shape.agg != nullptr) {
-    WallTimer merge_timer;
-    Batch merged = MergeAggregateParts(
-        std::move(parts), out_types, shape.agg->group_cols.size(),
+    AggregateAttribution attr;
+    attr.profile = profile;
+    attr.node = shape.agg;
+    attr.stats = profile != nullptr ? profile->Find(shape.agg) : nullptr;
+    result = RunPartitionedAggregate(
+        pool, options, make_input, shape.agg->group_cols,
         shape.agg->kind == LogicalNode::Kind::kAggregate
             ? shape.agg->aggs
-            : std::vector<AggSpec>{});
-    if (profile != nullptr) {
-      obs::NodeStats* agg_stats = profile->Find(shape.agg);
-      agg_stats->rows.store(merged.num_rows(), std::memory_order_relaxed);
-      agg_stats->time_ns.fetch_add(
-          static_cast<std::uint64_t>(merge_timer.ElapsedNanos()),
-          std::memory_order_relaxed);
+            : std::vector<AggSpec>{},
+        LogicalOutputTypes(*shape.agg), attr);
+    if (attr.stats != nullptr) {
+      attr.stats->rows.store(result.num_rows(), std::memory_order_relaxed);
     }
     if (shape.sort != nullptr) {
       WallTimer sort_timer;
-      SortBatchRows(&merged, shape.sort->sort_keys, shape.sort->limit);
+      SortBatchRows(&result, shape.sort->sort_keys, shape.sort->limit);
       if (profile != nullptr) {
         obs::NodeStats* sort_stats = profile->Find(shape.sort);
-        sort_stats->rows.store(merged.num_rows(), std::memory_order_relaxed);
+        sort_stats->rows.store(result.num_rows(), std::memory_order_relaxed);
         sort_stats->workers.store(1, std::memory_order_relaxed);
         sort_stats->AddWorkerTime(
             static_cast<std::uint64_t>(sort_timer.ElapsedNanos()));
       }
     }
-    *out = std::move(merged);
-  } else if (local_sort) {
-    WallTimer merge_timer;
-    *out = MergeSortedBatches(std::move(parts), shape.sort->sort_keys,
-                              shape.sort->limit);
-    if (profile != nullptr) {
-      obs::NodeStats* sort_stats = profile->Find(shape.sort);
-      sort_stats->rows.store(out->num_rows(), std::memory_order_relaxed);
-      sort_stats->time_ns.fetch_add(
-          static_cast<std::uint64_t>(merge_timer.ElapsedNanos()),
-          std::memory_order_relaxed);
-    }
   } else {
-    *out = ConcatParts(std::move(parts), out_types);
+    std::vector<Batch> parts =
+        RunWorkers(pool, make_input, post, options.trace, options.memory,
+                   mat_label, mat_stats);
+    if (local_sort) {
+      WallTimer merge_timer;
+      result = MergeSortedBatches(std::move(parts), shape.sort->sort_keys,
+                                  shape.sort->limit);
+      if (profile != nullptr) {
+        obs::NodeStats* sort_stats = profile->Find(shape.sort);
+        sort_stats->rows.store(result.num_rows(), std::memory_order_relaxed);
+        sort_stats->time_ns.fetch_add(
+            static_cast<std::uint64_t>(merge_timer.ElapsedNanos()),
+            std::memory_order_relaxed);
+      }
+    } else {
+      result = ConcatParts(std::move(parts), LogicalOutputTypes(plan));
+    }
   }
+
+  if (shape.project != nullptr) {
+    // The root projection, evaluated column-wise over the whole result.
+    WallTimer project_timer;
+    Batch projected;
+    for (const ExprPtr& e : shape.project->exprs) {
+      projected.columns.push_back(e->Eval(result));
+    }
+    projected.row_ids = std::move(result.row_ids);
+    result = std::move(projected);
+    if (profile != nullptr) {
+      obs::NodeStats* stats = profile->Find(shape.project);
+      stats->rows.store(result.num_rows(), std::memory_order_relaxed);
+      stats->workers.store(1, std::memory_order_relaxed);
+      stats->AddWorkerTime(
+          static_cast<std::uint64_t>(project_timer.ElapsedNanos()));
+    }
+  }
+  *out = std::move(result);
 
   if (report != nullptr) {
     report->parallel_join = shape.join != nullptr;

@@ -69,16 +69,20 @@ struct ParallelExecReport {
 ///     barrier, then a parallel probe fused into the probe pipeline;
 ///     further Select / Project operators may sit above the join),
 ///   - optionally rooted by a grouping Aggregate or Distinct (executed as
-///     per-worker partial aggregation + final merge aggregation),
+///     per-worker partial aggregation, hash-partitioned inside each
+///     worker's task, then one merge task per partition),
 ///   - optionally rooted by a Sort / TopN (per-worker local sort, k-way
 ///     merge; over an Aggregate the final sort is applied to the merged
 ///     result),
+///   - optionally with one root Project above the Sort or Aggregate (the
+///     binder's global COUNT(*) and ORDER BY-a-dropped-column shapes),
+///     applied column-wise to the merged result,
 ///   - a PatchDistinct rewrite over a NUC or NCC index (the patch-aware
 ///     scan: both the exclude-patches and use-patches branches are
-///     morsel-parallel).
+///     morsel-parallel, the latter with the partitioned merge).
 /// Everything else — PatchSort / PatchJoin rewrites, joins of non-chain
-/// inputs (e.g. a join over an aggregate), global aggregates without
-/// group columns — falls back to the serial operator tree.
+/// inputs (e.g. a join over an aggregate), aggregates without group
+/// columns — falls back to the serial operator tree.
 bool ParallelPlanSupported(const LogicalNode& plan);
 
 /// Executes an optimized plan with morsel-driven parallelism: base rows

@@ -10,20 +10,18 @@
 namespace patchindex {
 
 namespace {
-/// Estimated heap cost per hash-index entry (node + key + value).
+/// Estimated heap cost per generic hash-index entry (node + key + value).
 constexpr std::uint64_t kIndexEntryBytes = 48;
+/// Rows the INT64 path prefetches its hash slot ahead of the lookup.
+constexpr std::size_t kPrefetchAhead = 16;
 }  // namespace
 
 std::uint64_t HashAggregateOperator::ApproxStateBytes() const {
-  std::uint64_t bytes = ApproxBytes(groups_);
-  for (const auto& v : agg_i64_) bytes += v.size() * sizeof(std::int64_t);
-  for (const auto& v : agg_f64_) bytes += v.size() * sizeof(double);
   // Encoded generic keys roughly mirror the group columns' content,
   // which ApproxBytes(groups_) already counted; the flat per-entry cost
   // covers the index nodes themselves.
-  bytes +=
-      (i64_index_.size() + generic_index_.size()) * kIndexEntryBytes;
-  return bytes;
+  return ApproxBytes(groups_) + i64_index_.ApproxBytes() +
+         generic_index_.size() * kIndexEntryBytes;
 }
 
 HashAggregateOperator::HashAggregateOperator(
@@ -33,44 +31,26 @@ HashAggregateOperator::HashAggregateOperator(
       group_cols_(std::move(group_cols)),
       aggs_(std::move(aggs)) {
   PIDX_CHECK(!group_cols_.empty());
-  single_i64_key_ = group_cols_.size() == 1 &&
-                    child_->OutputTypes()[group_cols_[0]] == ColumnType::kInt64;
-}
-
-std::vector<ColumnType> HashAggregateOperator::OutputTypes() const {
   const std::vector<ColumnType> input = child_->OutputTypes();
-  std::vector<ColumnType> out;
-  for (std::size_t c : group_cols_) out.push_back(input[c]);
+  for (std::size_t c : group_cols_) output_types_.push_back(input[c]);
   for (const AggSpec& a : aggs_) {
-    switch (a.op) {
-      case AggOp::kCount:
-        out.push_back(ColumnType::kInt64);
-        break;
-      case AggOp::kSum:
-      case AggOp::kMin:
-      case AggOp::kMax:
-        out.push_back(input[a.column]);
-        break;
-    }
+    output_types_.push_back(a.op == AggOp::kCount ? ColumnType::kInt64
+                                                  : input[a.column]);
   }
-  return out;
+  single_i64_key_ = group_cols_.size() == 1 &&
+                    input[group_cols_[0]] == ColumnType::kInt64;
 }
 
 void HashAggregateOperator::Open() {
   child_->Open();
-  std::vector<ColumnType> group_types;
-  const std::vector<ColumnType> input = child_->OutputTypes();
-  for (std::size_t c : group_cols_) group_types.push_back(input[c]);
-  groups_.Reset(group_types);
-  agg_f64_.assign(aggs_.size(), {});
-  agg_i64_.assign(aggs_.size(), {});
-  i64_index_.clear();
+  groups_.Reset(output_types_);
+  i64_index_.Clear();
   generic_index_.clear();
 
   // Re-estimate the table's footprint as groups accumulate (an exact
   // running count would touch the accounting on every row); the final
-  // GrowTo settles the charge to the exact content-based size.
-  obs::OpMemory mem("HashAggregate", mem_stats_);
+  // GrowTo settles the charge to the exact size.
+  obs::OpMemory mem(mem_label_, mem_stats_);
   std::size_t sized_groups = 0;
   Batch in;
   while (child_->Next(&in)) {
@@ -86,6 +66,9 @@ void HashAggregateOperator::Open() {
   }
   mem.GrowTo(ApproxStateBytes());
   child_->Close();
+  // Every lookup is done: the result is read out of groups_ alone.
+  i64_index_.Clear();
+  generic_index_.clear();
   pos_ = 0;
 }
 
@@ -117,68 +100,89 @@ std::string EncodeKey(const Batch& in, const std::vector<std::size_t>& cols,
 }
 }  // namespace
 
+void HashAggregateOperator::AddGroupState() {
+  for (std::size_t a = 0; a < aggs_.size(); ++a) {
+    ColumnVector& state = groups_.columns[group_cols_.size() + a];
+    const AggOp op = aggs_[a].op;
+    if (state.type == ColumnType::kDouble) {
+      state.f64.push_back(op == AggOp::kMin
+                              ? std::numeric_limits<double>::infinity()
+                              : (op == AggOp::kMax
+                                     ? -std::numeric_limits<double>::infinity()
+                                     : 0.0));
+    } else {
+      state.i64.push_back(op == AggOp::kMin
+                              ? std::numeric_limits<std::int64_t>::max()
+                              : (op == AggOp::kMax
+                                     ? std::numeric_limits<std::int64_t>::min()
+                                     : 0));
+    }
+  }
+}
+
+void HashAggregateOperator::Accumulate(std::size_t g, const Batch& in,
+                                       std::size_t i) {
+  for (std::size_t a = 0; a < aggs_.size(); ++a) {
+    const AggSpec& spec = aggs_[a];
+    ColumnVector& state = groups_.columns[group_cols_.size() + a];
+    if (spec.op == AggOp::kCount) {
+      ++state.i64[g];
+      continue;
+    }
+    const ColumnVector& col = in.columns[spec.column];
+    if (col.type == ColumnType::kInt64) {
+      const std::int64_t v = col.i64[i];
+      std::int64_t& s = state.i64[g];
+      switch (spec.op) {
+        case AggOp::kSum:
+          s += v;
+          break;
+        case AggOp::kMin:
+          s = std::min(s, v);
+          break;
+        case AggOp::kMax:
+          s = std::max(s, v);
+          break;
+        default:
+          break;
+      }
+    } else if (col.type == ColumnType::kDouble) {
+      const double v = col.f64[i];
+      double& s = state.f64[g];
+      switch (spec.op) {
+        case AggOp::kSum:
+          s += v;
+          break;
+        case AggOp::kMin:
+          s = std::min(s, v);
+          break;
+        case AggOp::kMax:
+          s = std::max(s, v);
+          break;
+        default:
+          break;
+      }
+    } else {
+      PIDX_CHECK_MSG(false, "string aggregates not supported");
+    }
+  }
+}
+
 void HashAggregateOperator::ConsumeSingleInt64(const Batch& in) {
   const auto& keys = in.columns[group_cols_[0]].i64;
+  std::vector<std::int64_t>& group_keys = groups_.columns[0].i64;
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    auto [it, inserted] = i64_index_.try_emplace(keys[i], groups_.num_rows());
-    const std::size_t g = it->second;
+    if (i + kPrefetchAhead < keys.size()) {
+      i64_index_.Prefetch(keys[i + kPrefetchAhead]);
+    }
+    const auto [g, inserted] =
+        i64_index_.FindOrInsert(keys[i], groups_.num_rows());
     if (inserted) {
-      groups_.columns[0].i64.push_back(keys[i]);
+      group_keys.push_back(keys[i]);
       groups_.row_ids.push_back(in.row_ids[i]);
-      for (std::size_t a = 0; a < aggs_.size(); ++a) {
-        agg_i64_[a].push_back(
-            aggs_[a].op == AggOp::kMin
-                ? std::numeric_limits<std::int64_t>::max()
-                : (aggs_[a].op == AggOp::kMax
-                       ? std::numeric_limits<std::int64_t>::min()
-                       : 0));
-        agg_f64_[a].push_back(
-            aggs_[a].op == AggOp::kMin
-                ? std::numeric_limits<double>::infinity()
-                : (aggs_[a].op == AggOp::kMax
-                       ? -std::numeric_limits<double>::infinity()
-                       : 0.0));
-      }
+      AddGroupState();
     }
-    for (std::size_t a = 0; a < aggs_.size(); ++a) {
-      const AggSpec& spec = aggs_[a];
-      if (spec.op == AggOp::kCount) {
-        ++agg_i64_[a][g];
-        continue;
-      }
-      const ColumnVector& col = in.columns[spec.column];
-      if (col.type == ColumnType::kInt64) {
-        const std::int64_t v = col.i64[i];
-        switch (spec.op) {
-          case AggOp::kSum:
-            agg_i64_[a][g] += v;
-            break;
-          case AggOp::kMin:
-            agg_i64_[a][g] = std::min(agg_i64_[a][g], v);
-            break;
-          case AggOp::kMax:
-            agg_i64_[a][g] = std::max(agg_i64_[a][g], v);
-            break;
-          default:
-            break;
-        }
-      } else {
-        const double v = col.f64[i];
-        switch (spec.op) {
-          case AggOp::kSum:
-            agg_f64_[a][g] += v;
-            break;
-          case AggOp::kMin:
-            agg_f64_[a][g] = std::min(agg_f64_[a][g], v);
-            break;
-          case AggOp::kMax:
-            agg_f64_[a][g] = std::max(agg_f64_[a][g], v);
-            break;
-          default:
-            break;
-        }
-      }
-    }
+    Accumulate(g, in, i);
   }
 }
 
@@ -193,94 +197,35 @@ void HashAggregateOperator::ConsumeGeneric(const Batch& in) {
         groups_.columns[k].AppendFrom(in.columns[group_cols_[k]], i);
       }
       groups_.row_ids.push_back(in.row_ids[i]);
-      for (std::size_t a = 0; a < aggs_.size(); ++a) {
-        agg_i64_[a].push_back(
-            aggs_[a].op == AggOp::kMin
-                ? std::numeric_limits<std::int64_t>::max()
-                : (aggs_[a].op == AggOp::kMax
-                       ? std::numeric_limits<std::int64_t>::min()
-                       : 0));
-        agg_f64_[a].push_back(
-            aggs_[a].op == AggOp::kMin
-                ? std::numeric_limits<double>::infinity()
-                : (aggs_[a].op == AggOp::kMax
-                       ? -std::numeric_limits<double>::infinity()
-                       : 0.0));
-      }
+      AddGroupState();
     }
-    for (std::size_t a = 0; a < aggs_.size(); ++a) {
-      const AggSpec& spec = aggs_[a];
-      if (spec.op == AggOp::kCount) {
-        ++agg_i64_[a][g];
-        continue;
-      }
-      const ColumnVector& col = in.columns[spec.column];
-      if (col.type == ColumnType::kInt64) {
-        const std::int64_t v = col.i64[i];
-        switch (spec.op) {
-          case AggOp::kSum:
-            agg_i64_[a][g] += v;
-            break;
-          case AggOp::kMin:
-            agg_i64_[a][g] = std::min(agg_i64_[a][g], v);
-            break;
-          case AggOp::kMax:
-            agg_i64_[a][g] = std::max(agg_i64_[a][g], v);
-            break;
-          default:
-            break;
-        }
-      } else if (col.type == ColumnType::kDouble) {
-        const double v = col.f64[i];
-        switch (spec.op) {
-          case AggOp::kSum:
-            agg_f64_[a][g] += v;
-            break;
-          case AggOp::kMin:
-            agg_f64_[a][g] = std::min(agg_f64_[a][g], v);
-            break;
-          case AggOp::kMax:
-            agg_f64_[a][g] = std::max(agg_f64_[a][g], v);
-            break;
-          default:
-            break;
-        }
-      } else {
-        PIDX_CHECK_MSG(false, "string aggregates not supported");
-      }
-    }
+    Accumulate(g, in, i);
   }
 }
 
 bool HashAggregateOperator::Next(Batch* out) {
-  out->Reset(OutputTypes());
-  const std::vector<ColumnType> input = child_->OutputTypes();
-  while (out->num_rows() < kBatchSize && pos_ < groups_.num_rows()) {
-    const std::size_t g = pos_++;
-    for (std::size_t k = 0; k < group_cols_.size(); ++k) {
-      out->columns[k].AppendFrom(groups_.columns[k], g);
-    }
-    for (std::size_t a = 0; a < aggs_.size(); ++a) {
-      const std::size_t oc = group_cols_.size() + a;
-      const AggSpec& spec = aggs_[a];
-      const bool is_f64 = spec.op != AggOp::kCount &&
-                          input[spec.column] == ColumnType::kDouble;
-      if (is_f64) {
-        out->columns[oc].f64.push_back(agg_f64_[a][g]);
-      } else {
-        out->columns[oc].i64.push_back(agg_i64_[a][g]);
-      }
-    }
-    out->row_ids.push_back(groups_.row_ids[g]);
+  out->Reset(output_types_);
+  const std::size_t end = std::min(pos_ + kBatchSize, groups_.num_rows());
+  if (pos_ >= end) return false;
+  for (std::size_t c = 0; c < out->columns.size(); ++c) {
+    out->columns[c].AppendRange(groups_.columns[c], pos_, end);
   }
-  return out->num_rows() > 0;
+  out->row_ids.assign(groups_.row_ids.begin() + pos_,
+                      groups_.row_ids.begin() + end);
+  pos_ = end;
+  return true;
+}
+
+Batch HashAggregateOperator::TakeResult() {
+  Batch out = std::move(groups_);
+  groups_.Reset(output_types_);
+  pos_ = 0;
+  return out;
 }
 
 void HashAggregateOperator::Close() {
   groups_.Clear();
-  agg_f64_.clear();
-  agg_i64_.clear();
-  i64_index_.clear();
+  i64_index_.Clear();
   generic_index_.clear();
 }
 

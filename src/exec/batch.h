@@ -47,6 +47,22 @@ struct ColumnVector {
   void AppendValue(const Value& v);
   /// Copies cell `idx` of `src` (same type) to the end of this vector.
   void AppendFrom(const ColumnVector& src, std::size_t idx);
+  /// Copies cells [begin, end) of `src` (same type) to the end of this
+  /// vector.
+  void AppendRange(const ColumnVector& src, std::size_t begin,
+                   std::size_t end) {
+    switch (type) {
+      case ColumnType::kInt64:
+        i64.insert(i64.end(), src.i64.begin() + begin, src.i64.begin() + end);
+        break;
+      case ColumnType::kDouble:
+        f64.insert(f64.end(), src.f64.begin() + begin, src.f64.begin() + end);
+        break;
+      case ColumnType::kString:
+        str.insert(str.end(), src.str.begin() + begin, src.str.begin() + end);
+        break;
+    }
+  }
   /// Copies cell `row` of a storage column (same type), without boxing.
   void AppendFromColumn(const Column& src, RowId row);
   Value GetValue(std::size_t idx) const;

@@ -106,14 +106,15 @@ void FlightRecorder::Complete(const Handle& handle, QueryRecord record) {
 
 std::vector<QueryRecord> FlightRecorder::CompletedSnapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<QueryRecord> out;
-  out.reserve(ring_.size());
-  // Newest first: walk backwards from the slot most recently written.
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    const std::size_t slot =
-        (next_slot_ + ring_.size() - 1 - i) % ring_.size();
-    out.push_back(ring_[slot]);
-  }
+  // The ring holds the most recently *completed* statements in
+  // completion order; concurrent statements complete out of id order, so
+  // the snapshot is sorted to "newest first" by query id (ids are
+  // assigned at Begin and unique).
+  std::vector<QueryRecord> out(ring_.begin(), ring_.end());
+  std::sort(out.begin(), out.end(),
+            [](const QueryRecord& a, const QueryRecord& b) {
+              return a.query_id > b.query_id;
+            });
   return out;
 }
 

@@ -151,7 +151,8 @@ class FlightRecorder {
   /// until its guard releases.
   void Complete(const Handle& handle, QueryRecord record);
 
-  /// The retained completed statements, newest first.
+  /// The retained completed statements (the last `capacity` to
+  /// complete), newest first by query id.
   std::vector<QueryRecord> CompletedSnapshot() const;
 
   /// Everything in flight right now, oldest first, with elapsed time

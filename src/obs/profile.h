@@ -35,9 +35,10 @@ struct NodeStats {
   /// Join build phase wall time (join nodes only), nanoseconds.
   std::atomic<std::uint64_t> build_ns{0};
   /// Bytes this operator materialized (hash tables, sort buffers, spill
-  /// partitions), summed across workers. Estimates are content-based —
-  /// per-worker parts sum to the same total regardless of morsel
-  /// scheduling — so the figure is deterministic for a fixed input.
+  /// partitions), summed across workers. Row estimates are content-based
+  /// — per-worker parts sum to the same total regardless of morsel
+  /// scheduling; flat aggregate tables are charged by their power-of-two
+  /// capacity, which depends on how groups split across workers.
   std::atomic<std::uint64_t> mem_bytes{0};
 
   void AddWorkerTime(std::uint64_t ns) {

@@ -1,23 +1,43 @@
 #include "patchindex/discovery.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <limits>
 
 #include "common/check.h"
+#include "exec/flat_i64_map.h"
 
 namespace patchindex {
+
+namespace {
+/// Rows a counting scan prefetches its hash slot ahead of the insert.
+constexpr std::size_t kPrefetchAhead = 16;
+}  // namespace
 
 std::vector<RowId> DiscoverNucPatches(const Column& column) {
   PIDX_CHECK(column.type() == ColumnType::kInt64);
   const auto& data = column.i64_data();
-  // First pass: count occurrences. Second pass: every row whose value is
-  // duplicated is a patch (all occurrences, not all-but-one — see header).
-  std::unordered_map<std::int64_t, std::uint32_t> counts;
-  counts.reserve(data.size());
-  for (std::int64_t v : data) ++counts[v];
+  PIDX_CHECK(data.size() < std::numeric_limits<std::uint32_t>::max());
+  // First pass: number the distinct values and count their occurrences,
+  // remembering each row's value number. Second pass (sequential): every
+  // row whose value is duplicated is a patch (all occurrences, not
+  // all-but-one — see header). A NUC column is nearly unique, so the
+  // table is sized for every row up front.
+  FlatI64Map index(data.size());
+  std::vector<std::uint32_t> counts;
+  std::vector<std::uint32_t> group_of(data.size());
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    if (i + kPrefetchAhead < data.size()) {
+      index.Prefetch(data[i + kPrefetchAhead]);
+    }
+    const auto [g, inserted] = index.FindOrInsert(data[i], counts.size());
+    if (inserted) counts.push_back(0);
+    ++counts[g];
+    group_of[i] = static_cast<std::uint32_t>(g);
+  }
+  index.Clear();
   std::vector<RowId> patches;
   for (std::size_t i = 0; i < data.size(); ++i) {
-    if (counts[data[i]] > 1) patches.push_back(i);
+    if (counts[group_of[i]] > 1) patches.push_back(i);
   }
   return patches;  // ascending by construction
 }
@@ -27,16 +47,24 @@ NccDiscovery DiscoverNccPatches(const Column& column) {
   const auto& data = column.i64_data();
   NccDiscovery out;
   if (data.empty()) return out;
-  std::unordered_map<std::int64_t, std::uint64_t> counts;
-  counts.reserve(data.size());
-  for (std::int64_t v : data) ++counts[v];
+  // Few distinct values are expected: the table grows on demand.
+  FlatI64Map index;
+  std::vector<std::uint64_t> counts;
+  for (std::int64_t v : data) {
+    const auto [g, inserted] = index.FindOrInsert(v, counts.size());
+    if (inserted) counts.push_back(0);
+    ++counts[g];
+  }
+  // The most frequent value, ties to the smallest: independent of the
+  // table's iteration order.
   std::uint64_t best_count = 0;
-  for (const auto& [v, c] : counts) {
+  index.ForEach([&](std::int64_t v, std::size_t g) {
+    const std::uint64_t c = counts[g];
     if (c > best_count || (c == best_count && v < out.constant)) {
       out.constant = v;
       best_count = c;
     }
-  }
+  });
   out.has_constant = true;
   out.patches.reserve(data.size() - best_count);
   for (std::size_t i = 0; i < data.size(); ++i) {

@@ -1,9 +1,10 @@
 #include "patchindex/patch_index.h"
 
-#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "common/check.h"
+#include "exec/flat_i64_map.h"
 #include "patchindex/discovery.h"
 #include "patchindex/ncc_constraint.h"
 #include "patchindex/nsc_constraint.h"
@@ -250,10 +251,18 @@ bool PatchIndex::CheckInvariant() const {
     // Invariant behind the Figure 2 distinct decomposition: a non-patch
     // row's value occurs nowhere else in the column (neither at another
     // non-patch row nor at a patch row).
-    std::unordered_map<std::int64_t, std::uint32_t> counts;
-    for (RowId r = 0; r < col.size(); ++r) ++counts[col.GetInt64(r)];
+    FlatI64Map index(col.size());
+    std::vector<std::uint32_t> counts;
     for (RowId r = 0; r < col.size(); ++r) {
-      if (!patches_->IsPatch(r) && counts[col.GetInt64(r)] != 1) return false;
+      const auto [g, inserted] = index.FindOrInsert(col.GetInt64(r),
+                                                    counts.size());
+      if (inserted) counts.push_back(0);
+      ++counts[g];
+    }
+    for (RowId r = 0; r < col.size(); ++r) {
+      if (!patches_->IsPatch(r) && counts[index.Find(col.GetInt64(r))] != 1) {
+        return false;
+      }
     }
     return true;
   }

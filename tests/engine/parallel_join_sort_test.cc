@@ -331,6 +331,34 @@ TEST(ParallelPlanSupportTest, ShapeClassification) {
       *LAggregate(LScan(t, {0}), {}, {{AggOp::kCount, 0}})));
 }
 
+TEST(ParallelPlanSupportTest, RootProjectOverSortOrAggregate) {
+  GeneratorConfig config;
+  config.num_rows = 64;
+  Table t = GenerateNucTable(config);
+
+  // The binder's global COUNT(*): Project over an Aggregate on a
+  // constant group key.
+  EXPECT_TRUE(ParallelPlanSupported(*LProject(
+      LAggregate(LProject(LScan(t, {0, 1}), {ConstInt(0), Col(0), Col(1)}),
+                 {0}, {{AggOp::kCount, 1}}),
+      {Col(1)})));
+  // ORDER BY a column outside the select list: Project over a Sort.
+  EXPECT_TRUE(ParallelPlanSupported(*LProject(
+      LSort(LSelect(LScan(t, {0, 1}), Lt(Col(0), ConstInt(10)), 0.2),
+            {{1, true}}),
+      {Col(0)})));
+  // Project over a Distinct, and over a Sort of an Aggregate.
+  EXPECT_TRUE(ParallelPlanSupported(
+      *LProject(LDistinct(LScan(t, {1}), {0}), {Col(0)})));
+  EXPECT_TRUE(ParallelPlanSupported(*LProject(
+      LSort(LAggregate(LScan(t, {1}), {0}, {{AggOp::kCount, 0}}),
+            {{1, false}}),
+      {Col(0)})));
+  // Only one root Project: a Project over that shape stays serial.
+  EXPECT_FALSE(ParallelPlanSupported(*LProject(
+      LProject(LSort(LScan(t, {0, 1}), {{1, true}}), {Col(0)}), {Col(0)})));
+}
+
 /// The Session-level counters: one query bumps exactly one of
 /// serial_fallbacks / parallel_pipelines, or the join/sort feature
 /// counters when those paths ran.

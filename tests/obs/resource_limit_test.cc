@@ -73,6 +73,43 @@ TEST(ResourceLimitTest, OverLimitQueryAbortsNamingOperatorEngineUsable) {
   EXPECT_EQ(status.value().rows.columns[0].i64[0], 1);
 }
 
+TEST(ResourceLimitTest, HighCardinalityDistinctUnwindsInPartitionedMerge) {
+  // 200k unique keys on 4 workers. The partial phase charges at most
+  // ~75 bytes per key (a flat table of at most 8/3 slots x 16 bytes per
+  // group, plus the 16-byte group rows and their spill); the merge phase
+  // charges at least ~53 bytes per key again. A 90-bytes-per-key budget
+  // therefore admits every partial aggregate and trips in the merge.
+  constexpr std::size_t kRows = 200'000;
+  EngineOptions options;
+  options.num_threads = 4;
+  options.query_memory_limit = 90 * kRows;
+  Engine engine(options);
+  Session session = engine.CreateSession();
+  GenBig(engine, session, kRows);
+
+  Result<QueryResult> r = session.Sql("SELECT DISTINCT key FROM big");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted)
+      << r.status().ToString();
+  EXPECT_NE(r.status().message().find("operator HashAggregate merge"),
+            std::string::npos)
+      << r.status().message();
+  EXPECT_EQ(engine.memory().current(), 0u);
+
+  // The engine stays usable: a small DISTINCT and a COUNT(*) over the
+  // same table run on the pool under the same budget.
+  Result<QueryResult> small =
+      session.Sql("SELECT DISTINCT key FROM big WHERE key < 1000");
+  ASSERT_TRUE(small.ok()) << small.status().ToString();
+  EXPECT_TRUE(small.value().parallel);
+  EXPECT_EQ(small.value().rows.num_rows(), 1'000u);
+  Result<QueryResult> count = session.Sql("SELECT COUNT(*) FROM big");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(count.value().rows.columns[0].i64[0],
+            static_cast<std::int64_t>(kRows));
+  EXPECT_EQ(engine.memory().current(), 0u);
+}
+
 TEST(ResourceLimitTest, DmlDeltaChargesAgainstTheBudget) {
   EngineOptions options;
   options.query_memory_limit = 16 * 1024;
