@@ -44,14 +44,13 @@ struct TableVersion {
 };
 
 /// Named tables plus their PatchIndexes (via an owned PatchIndexManager),
-/// with one reader-writer lock per table. Under MVCC (the default), the
-/// exclusive lock is a writer–writer lock only: update queries, DDL and
-/// checkpoints serialize on it, while read queries pin the published
-/// TableVersion through an epoch guard and never take it at all. The
-/// shared mode remains for the legacy read path (mvcc_snapshot_reads
-/// off) and as the fallback when a reader finds the published version
-/// stale against a directly-mutated head (bulk loads that bypass the
-/// commit protocol).
+/// with one reader-writer lock per table. The exclusive lock is a
+/// writer–writer lock only: update queries, DDL and checkpoints
+/// serialize on it, while read queries pin the published TableVersion
+/// through an epoch guard and never take it at all. The shared mode is
+/// only the fallback when a reader finds the published version stale
+/// against a directly-mutated head (bulk loads that bypass the commit
+/// protocol), or finds a table dropped after its plan resolved it.
 ///
 /// Every catalog entry is a PartitionedTable — the engine's storage unit
 /// (paper §3.2: discovery, patch maintenance and query processing are

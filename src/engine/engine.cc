@@ -269,9 +269,7 @@ Status Engine::Checkpoint() {
       // byte-identical to the committed head. A stale version (direct
       // unpublished mutations) falls back to the head + live indexes.
       EpochGc::Guard guard(EpochGc::Global());
-      const TableVersion* version =
-          options_.mvcc_snapshot_reads ? catalog_.PinnedVersion(ref)
-                                       : nullptr;
+      const TableVersion* version = catalog_.PinnedVersion(ref);
       if (version != nullptr &&
           Catalog::VersionMatchesHead(*version, *ref.ptable)) {
         st = durability_->CheckpointTable(name, *version->snapshot,
@@ -355,14 +353,12 @@ Result<QueryResult> Session::ExecuteProfiled(
   }
 
   // Protect every catalog table the plan scans for the statement's
-  // duration. Under MVCC each table resolves to its pinned published
-  // version (lock-free; the plan is cloned and its scans retargeted at
-  // the immutable snapshots) with shared locks only as the fallback;
-  // with MVCC off every table takes the shared lock, in deterministic
-  // address order. Either way the refs keep the tables alive even if a
+  // duration: each table resolves to its pinned published version
+  // (lock-free; the plan is cloned and its scans retargeted at the
+  // immutable snapshots), with a shared lock only for a stale head (see
+  // engine/read_pin.h). The refs keep the tables alive even if a
   // concurrent DropTable de-catalogs them mid-query.
-  PinnedReadSet pin(engine_->catalog_,
-                    engine_->options_.mvcc_snapshot_reads, &plan);
+  PinnedReadSet pin(engine_->catalog_, &plan);
 
   if (active != nullptr) {
     obs::FlightRecorder::SetPhase(active, obs::QueryPhase::kOptimize);
@@ -392,8 +388,7 @@ Result<QueryResult> Session::ExecuteProfiled(
   WallTimer execute_timer;
   obs::TraceSpan execute_span(trace, "execute", 0);
   try {
-    if (engine_->options_.enable_parallel_execution &&
-        ExecuteParallel(*optimized, engine_->pool(), parallel_options,
+    if (ExecuteParallel(*optimized, engine_->pool(), parallel_options,
                         &result.rows, &report)) {
       result.parallel = true;
       result.parallel_join = report.parallel_join;

@@ -36,21 +36,10 @@ struct EngineOptions {
   std::size_t morsel_rows = kDefaultMorselRows;
 
   /// Tables below this visible-row count run on the serial operator tree
-  /// even when the plan shape is parallelizable. 0 forces parallelism.
+  /// even when the plan shape is parallelizable. 0 forces parallelism;
+  /// std::numeric_limits<std::size_t>::max() pins every query to the
+  /// serial tree.
   std::size_t min_parallel_rows = 16 * kBatchSize;
-
-  /// Master switch: false pins every query to the serial operator tree
-  /// (used for A/B comparison and by the equivalence tests).
-  bool enable_parallel_execution = true;
-
-  /// MVCC snapshot reads (default): read queries pin the table's
-  /// published immutable TableVersion through an epoch guard and scan it
-  /// lock-free — readers never block writers, and the per-table exclusive
-  /// lock degenerates to a writer–writer lock. False restores the
-  /// historical reader-writer protocol (every read holds the shared lock
-  /// for its duration); kept for A/B comparison — bench_mvcc measures
-  /// update throughput under continuous scans in both modes.
-  bool mvcc_snapshot_reads = true;
 
   /// Partitions a CREATE TABLE statement without a PARTITIONS clause
   /// gets (the session default of the paper's §3.2 partition-local
@@ -180,7 +169,7 @@ class PreparedStatement;
 
 /// Resolves every catalog table `plan` scans to TableRefs, sorted by
 /// lock address and deduplicated — the deterministic order in which read
-/// queries acquire their shared locks (see the Session class comment).
+/// queries acquire any shared locks (see the Session class comment).
 /// Shared by Session::Execute and the SQL EXPLAIN path.
 void CollectPlanTableRefs(const LogicalNode& plan, const Catalog& catalog,
                           std::vector<Catalog::TableRef>* refs);
@@ -331,28 +320,28 @@ class Engine {
 /// threads (each call acquires the table locks it needs; the counters
 /// are atomic).
 ///
-/// Concurrency: under MVCC (EngineOptions::mvcc_snapshot_reads, the
-/// default) a read query pins each scanned table's published immutable
-/// TableVersion through an epoch guard and runs lock-free — see
-/// engine/read_pin.h for the full resolution order. Update queries and
-/// DDL still take the table's exclusive lock, which therefore only ever
-/// serializes writers against writers (and checkpoints).
+/// Concurrency: a read query pins each scanned table's published
+/// immutable TableVersion through an epoch guard and runs lock-free (MVCC
+/// snapshot reads) — see engine/read_pin.h for the full resolution order.
+/// Update queries and DDL take the table's exclusive lock, which
+/// therefore only ever serializes writers against writers (and
+/// checkpoints).
 ///
-/// Lock ordering: when a read query does fall back to shared locks (MVCC
-/// off, or a directly-mutated head), it acquires them in ascending
-/// lock-address order; update queries and DDL take a single exclusive
-/// table lock. The catalog's own map mutex is never held while a table
-/// lock is acquired. This total order makes deadlock between any mix of
-/// concurrent sessions impossible.
+/// Lock ordering: when a read query does take shared locks (a
+/// directly-mutated head, or a table dropped mid-resolve), it acquires
+/// them in ascending lock-address order; update queries and DDL take a
+/// single exclusive table lock. The catalog's own map mutex is never
+/// held while a table lock is acquired. This total order makes deadlock
+/// between any mix of concurrent sessions impossible.
 class Session {
  public:
   /// Runs a read query: optimizes `plan` against the catalog's indexes,
   /// then executes it in parallel where supported (serial fallback
   /// otherwise — see ParallelPlanSupported in engine/executor.h for the
   /// supported shapes). Every catalog table the plan scans is protected
-  /// for the duration of the query — by an epoch-pinned immutable
-  /// version under MVCC (lock-free; the passed plan is never mutated),
-  /// by a shared lock otherwise.
+  /// for the duration of the query by an epoch-pinned immutable version
+  /// (lock-free; the passed plan is never mutated), or by a shared lock
+  /// when the head has unpublished mutations.
   Result<QueryResult> Execute(LogicalPtr plan);
 
   /// Same, with per-query optimizer options overriding the engine's.

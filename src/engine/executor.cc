@@ -4,7 +4,6 @@
 #include <cstring>
 #include <functional>
 #include <future>
-#include <iterator>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -32,12 +31,12 @@ namespace {
 /// offset (scans add it to their rowIDs so output rowIDs are
 /// table-global).
 ///
-/// Under MVCC the scan node's table pointers were retargeted by
-/// PinnedReadSet at the immutable snapshot of a pinned TableVersion, so
-/// everything below reads frozen state with no table lock held; with the
-/// legacy protocol (or the stale-head fallback) they still point at the
-/// live head under a shared lock. The executor cannot tell the
-/// difference and must not care — both are plain `const Table*`s.
+/// PinnedReadSet normally retargeted the scan node's table pointers at
+/// the immutable snapshot of a pinned TableVersion, so everything below
+/// reads frozen state with no table lock held; on the stale-head
+/// fallback they still point at the live head under a shared lock. The
+/// executor cannot tell the difference and must not care — both are
+/// plain `const Table*`s.
 struct ScanTarget {
   std::vector<const Table*> parts;
   std::vector<std::uint64_t> bases;
@@ -314,46 +313,6 @@ bool AnalyzeShape(const LogicalNode& plan, PlanShape* shape) {
   return false;
 }
 
-/// Column-wise batch concatenation (string payloads are moved).
-void AppendBatch(Batch* dst, Batch&& src) {
-  PIDX_DCHECK(dst->columns.size() == src.columns.size());
-  for (std::size_t c = 0; c < dst->columns.size(); ++c) {
-    ColumnVector& d = dst->columns[c];
-    ColumnVector& s = src.columns[c];
-    switch (d.type) {
-      case ColumnType::kInt64:
-        d.i64.insert(d.i64.end(), s.i64.begin(), s.i64.end());
-        break;
-      case ColumnType::kDouble:
-        d.f64.insert(d.f64.end(), s.f64.begin(), s.f64.end());
-        break;
-      case ColumnType::kString:
-        d.str.insert(d.str.end(), std::make_move_iterator(s.str.begin()),
-                     std::make_move_iterator(s.str.end()));
-        break;
-    }
-  }
-  dst->row_ids.insert(dst->row_ids.end(), src.row_ids.begin(),
-                      src.row_ids.end());
-}
-
-/// Drains `op` with column-wise accumulation (Collect() copies row by
-/// row, which would dominate wide parallel scans). Every incoming batch
-/// is charged to `mem` before it is appended, so a worker materializing
-/// an over-budget result aborts mid-drain rather than after the damage.
-Batch DrainColumnwise(Operator& op, obs::OpMemory* mem = nullptr) {
-  op.Open();
-  Batch all;
-  all.Reset(op.OutputTypes());
-  Batch in;
-  while (op.Next(&in)) {
-    if (mem != nullptr) mem->Add(ApproxBytes(in));
-    AppendBatch(&all, std::move(in));
-  }
-  op.Close();
-  return all;
-}
-
 /// Awaits every future before rethrowing the first failure: unwinding
 /// while workers still reference shared state (result slots, the morsel
 /// queue, partition tables) would be use-after-free.
@@ -399,7 +358,7 @@ std::vector<Batch> RunWorkers(
           obs::ScopedQueryTracker query_mem(memory);
           obs::OpMemory mem(mem_label, mem_stats);
           OperatorPtr pipeline = make_pipeline(w);
-          parts[w] = DrainColumnwise(*pipeline, &mem);
+          parts[w] = Collect(*pipeline, &mem);
           if (post) post(&parts[w]);
         }));
   }

@@ -22,8 +22,10 @@ struct ParallelExecOptions {
 
   /// Plans whose largest scanned table has fewer visible rows than this
   /// run on the serial operator tree — forking workers costs more than
-  /// the scan. 0 forces the parallel path (used by the equivalence
-  /// tests).
+  /// the scan. This threshold is the only switch between the two: 0
+  /// forces the parallel path (used by the equivalence tests), and
+  /// std::numeric_limits<std::size_t>::max() pins every plan to the
+  /// serial tree.
   std::size_t min_parallel_rows = 16 * kBatchSize;
 
   /// When set, every worker operator is wrapped to record rows, morsel
@@ -103,10 +105,11 @@ bool ParallelPlanSupported(const LogicalNode& plan);
 /// which case the caller should compile and run the serial tree. When
 /// `report` is non-null it is filled with which parallel paths ran.
 ///
-/// Thread-safety: callers must hold at least a shared lock on every
-/// scanned catalog table (Session::Execute does); the executor itself
-/// only reads tables. Multiple queries may execute concurrently on one
-/// pool — each awaits only its own tasks.
+/// Thread-safety: every scanned catalog table must stay unchanged for
+/// the call — a pinned immutable version or a shared-locked head
+/// (Session::Execute's PinnedReadSet provides one or the other); the
+/// executor itself only reads tables. Multiple queries may execute
+/// concurrently on one pool — each awaits only its own tasks.
 bool ExecuteParallel(const LogicalNode& plan, ThreadPool& pool,
                      const ParallelExecOptions& options, Batch* out,
                      ParallelExecReport* report = nullptr);

@@ -44,8 +44,8 @@ struct MorselPartition {
 /// Thread-safety: construction is single-threaded; afterwards the morsel
 /// list is immutable and Next() may be called from any number of threads
 /// concurrently. The queue does not own the scanned table — callers keep
-/// it alive (and, for catalog tables, shared-locked) until every worker
-/// has drained.
+/// it alive (and, for catalog tables, pinned or shared-locked) until
+/// every worker has drained.
 class MorselQueue {
  public:
   /// Single-table convenience: all ranges belong to partition 0.

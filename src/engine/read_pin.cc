@@ -53,20 +53,14 @@ void RetargetScans(
 
 }  // namespace
 
-PinnedReadSet::PinnedReadSet(Catalog& catalog, bool mvcc_snapshot_reads,
-                             LogicalPtr* plan)
-    : lookup_(catalog.manager()) {
+PinnedReadSet::PinnedReadSet(Catalog& catalog, LogicalPtr* plan)
+    : guard_(EpochGc::Global()), lookup_(catalog.manager()) {
+  // The guard is pinned FIRST (above), then version pointers load:
+  // publication retires the old version only after unlinking it, so a
+  // pointer loaded under the guard cannot be freed while the guard lives
+  // (see common/epoch_gc.h).
   CollectPlanTableRefs(**plan, catalog, &refs_);
   locks_.reserve(refs_.size());
-  if (!mvcc_snapshot_reads) {
-    for (const Catalog::TableRef& ref : refs_) locks_.emplace_back(*ref.lock);
-    locked_tables_ = refs_.size();
-    return;
-  }
-  // Pin FIRST, then load version pointers: publication retires the old
-  // version only after unlinking it, so a pointer loaded under the guard
-  // cannot be freed while the guard lives (see common/epoch_gc.h).
-  guard_.emplace(EpochGc::Global());
   std::unordered_map<const PartitionedTable*, const PartitionedTable*>
       table_map;
   std::unordered_map<const Table*, const Table*> part_map;
@@ -79,7 +73,6 @@ PinnedReadSet::PinnedReadSet(Catalog& catalog, bool mvcc_snapshot_reads,
       std::shared_lock<std::shared_mutex> lock(*ref.lock, std::try_to_lock);
       if (lock.owns_lock()) {
         locks_.push_back(std::move(lock));
-        ++locked_tables_;
       } else if (version != nullptr) {
         // A writer holds the exclusive lock. The pinned version is the
         // last committed state — a statement starting now reads it
@@ -87,10 +80,9 @@ PinnedReadSet::PinnedReadSet(Catalog& catalog, bool mvcc_snapshot_reads,
         use_version = true;
       } else {
         // No version to fall back to (the table was dropped after the
-        // plan resolved it): block on the shared lock like the legacy
-        // path and finish against the de-cataloged table.
+        // plan resolved it): block on the shared lock and finish against
+        // the de-cataloged table.
         locks_.emplace_back(*ref.lock);
-        ++locked_tables_;
       }
     }
     if (use_version) {
@@ -102,7 +94,6 @@ PinnedReadSet::PinnedReadSet(Catalog& catalog, bool mvcc_snapshot_reads,
       for (std::size_t p = 0; p < common; ++p) {
         part_map[&ref.ptable->partition(p)] = &snapshot.partition(p);
       }
-      ++pinned_tables_;
     }
   }
   if (!table_map.empty()) {

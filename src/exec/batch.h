@@ -2,6 +2,7 @@
 #define PATCHINDEX_EXEC_BATCH_H_
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -97,7 +98,37 @@ struct Batch {
     }
     row_ids.push_back(src.row_ids[idx]);
   }
+
+  /// Appends rows [begin, end) of `src` (same layout), column-wise.
+  void AppendRange(const Batch& src, std::size_t begin, std::size_t end) {
+    PIDX_DCHECK(columns.size() == src.columns.size());
+    for (std::size_t c = 0; c < columns.size(); ++c) {
+      columns[c].AppendRange(src.columns[c], begin, end);
+    }
+    row_ids.insert(row_ids.end(), src.row_ids.begin() + begin,
+                   src.row_ids.begin() + end);
+  }
 };
+
+/// Appends every row of `src` (same layout) to `dst`, column-wise; string
+/// payloads are moved. The one batch-concatenation primitive: result
+/// drains (Collect), the morsel executor's part merges and the PatchDistinct
+/// phases all go through it.
+inline void AppendBatch(Batch* dst, Batch&& src) {
+  PIDX_DCHECK(dst->columns.size() == src.columns.size());
+  for (std::size_t c = 0; c < dst->columns.size(); ++c) {
+    ColumnVector& d = dst->columns[c];
+    ColumnVector& s = src.columns[c];
+    if (d.type == ColumnType::kString) {
+      d.str.insert(d.str.end(), std::make_move_iterator(s.str.begin()),
+                   std::make_move_iterator(s.str.end()));
+    } else {
+      d.AppendRange(s, 0, s.size());
+    }
+  }
+  dst->row_ids.insert(dst->row_ids.end(), src.row_ids.begin(),
+                      src.row_ids.end());
+}
 
 /// Content-based size estimate for memory accounting: 8 bytes per fixed
 /// cell, object header + character count per string. Deliberately a

@@ -62,17 +62,9 @@ std::vector<ColumnType> HashJoinOperator::OutputTypes() const {
 void HashJoinOperator::Open() {
   // Build phase: materialize first, then index with a full reserve (the
   // row count is unknown until the child is drained).
-  build_->Open();
   table_.Reset(build_->OutputTypes());
   obs::OpMemory mem("HashJoin build", mem_stats_);
-  Batch all;
-  all.Reset(build_->OutputTypes());
-  Batch in;
-  while (build_->Next(&in)) {
-    mem.Add(ApproxBytes(in));
-    for (std::size_t i = 0; i < in.num_rows(); ++i) all.AppendRowFrom(in, i);
-  }
-  build_->Close();
+  const Batch all = Collect(*build_, &mem);
   const RowIdFilter* nuc = options_.build_unique_filter;
   table_.Reserve(all.num_rows());
   const std::uint64_t input_bytes = mem.total();

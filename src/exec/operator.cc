@@ -1,20 +1,25 @@
 #include "exec/operator.h"
 
+#include <algorithm>
+#include <optional>
+#include <utility>
+
 #include "obs/mem_tracker.h"
 
 namespace patchindex {
 
-Batch Collect(Operator& op) {
+Batch Collect(Operator& op, obs::OpMemory* mem) {
+  // Result materialization is charged to the thread's query tracker (if
+  // any) so serial plans are budgeted too, not just the morsel path.
+  std::optional<obs::OpMemory> materialize;
+  if (mem == nullptr) mem = &materialize.emplace("Materialize");
   op.Open();
   Batch all;
   all.Reset(op.OutputTypes());
-  // Result materialization is charged to the thread's query tracker (if
-  // any) so serial plans are budgeted too, not just the morsel path.
-  obs::OpMemory mem("Materialize");
   Batch in;
   while (op.Next(&in)) {
-    mem.Add(ApproxBytes(in));
-    for (std::size_t i = 0; i < in.num_rows(); ++i) all.AppendRowFrom(in, i);
+    mem->Add(ApproxBytes(in));
+    AppendBatch(&all, std::move(in));
   }
   op.Close();
   return all;
@@ -31,9 +36,9 @@ std::uint64_t CountRows(Operator& op) {
 
 bool InMemorySource::Next(Batch* out) {
   out->Reset(OutputTypes());
-  while (out->num_rows() < kBatchSize && pos_ < data_.num_rows()) {
-    out->AppendRowFrom(data_, pos_++);
-  }
+  const std::size_t end = std::min(pos_ + kBatchSize, data_.num_rows());
+  out->AppendRange(data_, pos_, end);
+  pos_ = end;
   return out->num_rows() > 0;
 }
 

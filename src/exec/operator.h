@@ -8,6 +8,10 @@
 
 namespace patchindex {
 
+namespace obs {
+class OpMemory;
+}
+
 /// Pull-based vectorized operator (Volcano iteration over kBatchSize
 /// tuple vectors, as in X100/Vectorwise). Lifecycle: Open() once, Next()
 /// until it returns false, Close() once.
@@ -29,9 +33,12 @@ class Operator {
 
 using OperatorPtr = std::unique_ptr<Operator>;
 
-/// Drains `op` (Open/Next*/Close) into a single materialized batch.
-/// Convenience for tests, update-handling queries and benchmarks.
-Batch Collect(Operator& op);
+/// Drains `op` (Open/Next*/Close) into a single materialized batch,
+/// appending column-wise. Every incoming batch is charged to `mem` before
+/// it is appended, so an over-budget drain aborts mid-way rather than
+/// after the damage; without `mem` the drain is charged as "Materialize"
+/// to the thread's query tracker (if any).
+Batch Collect(Operator& op, obs::OpMemory* mem = nullptr);
 
 /// Drains `op` counting rows without materializing them.
 std::uint64_t CountRows(Operator& op);

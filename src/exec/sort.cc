@@ -15,15 +15,8 @@ SortOperator::SortOperator(OperatorPtr child, std::vector<SortKeySpec> keys,
 }
 
 void SortOperator::Open() {
-  child_->Open();
-  data_.Reset(child_->OutputTypes());
   obs::OpMemory mem("Sort", mem_stats_);
-  Batch in;
-  while (child_->Next(&in)) {
-    mem.Add(ApproxBytes(in));
-    for (std::size_t i = 0; i < in.num_rows(); ++i) data_.AppendRowFrom(in, i);
-  }
-  child_->Close();
+  data_ = Collect(*child_, &mem);
 
   mem.Add(data_.num_rows() * sizeof(std::size_t));  // the permutation
   order_ = SortedPermutation(data_, keys_, limit_);

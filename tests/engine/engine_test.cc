@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <set>
 #include <thread>
@@ -11,6 +12,8 @@
 #include <vector>
 
 #include "engine/engine_test_util.h"
+#include "engine/executor.h"
+#include "optimizer/rewriter.h"
 #include "workload/generator.h"
 
 namespace patchindex {
@@ -19,8 +22,9 @@ namespace {
 EngineOptions TestOptions(bool parallel = true) {
   EngineOptions options;
   options.num_threads = 4;
-  options.min_parallel_rows = 0;  // small test tables still go parallel
-  options.enable_parallel_execution = parallel;
+  // Small test tables still go parallel; the serial engine never does.
+  options.min_parallel_rows =
+      parallel ? 0 : std::numeric_limits<std::size_t>::max();
   options.optimizer.force_patch_rewrites = true;
   return options;
 }
@@ -134,6 +138,37 @@ TEST(EngineTest, PatchDistinctRunsParallelThroughRewriter) {
       serial.CreateSession().Execute(LDistinct(LScan(*st, {1}), {0}));
   ASSERT_TRUE(reference.ok());
   ExpectSameRows(reference.value().rows, with_index.value().rows);
+}
+
+TEST(EngineTest, MaxRowThresholdPinsGatedPathsToSerialTree) {
+  // min_parallel_rows is the only switch between the executors: a
+  // threshold no table reaches sends both size-gated entry points — the
+  // PatchDistinct rewrite and the grouped-aggregate pipeline — to the
+  // serial tree, although both plan shapes are parallelizable.
+  Engine engine(TestOptions(/*parallel=*/false));
+  Table* t = LoadNucTable(engine, "t", 20'000, 0.3);
+  Session session = engine.CreateSession();
+  ASSERT_TRUE(
+      session.CreatePatchIndex("t", 1, ConstraintKind::kNearlyUnique).ok());
+
+  LogicalPtr distinct = LDistinct(LScan(*t, {1}), {0});
+  LogicalPtr aggregate =
+      LAggregate(LScan(*t, {1, 0}), {0}, {{AggOp::kCount, 0}});
+  const LogicalPtr rewritten = OptimizePlan(
+      ClonePlan(distinct), engine.catalog().manager(),
+      engine.options().optimizer);
+  ASSERT_EQ(rewritten->kind, LogicalNode::Kind::kPatchDistinct);
+  EXPECT_TRUE(ParallelPlanSupported(*rewritten));
+  EXPECT_TRUE(ParallelPlanSupported(*aggregate));
+
+  std::uint64_t fallbacks = session.path_counters().serial_fallbacks.load();
+  for (const LogicalPtr& plan : {distinct, aggregate}) {
+    auto result = session.Execute(plan);
+    ASSERT_TRUE(result.ok());
+    EXPECT_FALSE(result.value().parallel);
+    EXPECT_GT(result.value().rows.num_rows(), 0u);
+    EXPECT_EQ(session.path_counters().serial_fallbacks.load(), ++fallbacks);
+  }
 }
 
 TEST(EngineTest, UpdateQueriesRoundTripThroughSession) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <regex>
 #include <string>
 #include <vector>
@@ -96,7 +97,7 @@ TEST(ExplainAnalyzeTest, GoldenJoinGroupByOrderBy) {
 
 TEST(ExplainAnalyzeTest, SerialFallbackRendersSerial) {
   EngineOptions options;
-  options.enable_parallel_execution = false;
+  options.min_parallel_rows = std::numeric_limits<std::size_t>::max();
   Engine engine(options);
   Session session = engine.CreateSession();
   LoadJoinTables(session);
